@@ -53,7 +53,7 @@ using Clock = std::chrono::steady_clock;
 using fast::service::MatchService;
 using fast::service::RequestResult;
 
-constexpr int kSetupRepeats = 5;
+constexpr int kSetupRepeats = 3;
 
 struct Args {
   std::string workload;
@@ -280,19 +280,28 @@ void PrintTable(const Metrics& metrics) {
 int RunEndToEnd(const WorkloadSpec& spec, const Args& args,
                 const std::vector<fast::QueryGraph>& queries) {
   Tally tally;
+  // Set-up is timed kSetupRepeats times before the timed phase and as many
+  // times after it, so its median spans the run rather than its first
+  // seconds. The last set-up before the timed phase is the one served.
   std::vector<double> setup_seconds;
   Service svc;
-  for (int i = 0; i < kSetupRepeats; ++i) {
+  const auto set_up = [&]() -> fast::Status {
     svc = Service();  // the previous repeat's service shuts down first
     fast::StatusOr<Service> s = SetUp(spec, args, queries, /*service_tracing=*/false);
-    if (!s.ok()) return Abort("set-up failed", s.status());
+    if (!s.ok()) return s.status();
     svc = std::move(*s);
     setup_seconds.push_back(svc.setup_seconds);
+    return fast::Status::OK();
+  };
+  for (int i = 0; i < kSetupRepeats; ++i) {
+    const fast::Status st = set_up();
+    if (!st.ok()) return Abort("set-up failed", st);
   }
   MatchService& service = *svc.service;
   std::shared_ptr<const fast::Graph> graph = service.snapshot().graph;
   const double rss_before_oracle_mb = PeakRssMb();
-  fast::StatusOr<QueryCounts> oracle = OracleCounts(*graph, queries, args.oracle_offset);
+  const fast::StatusOr<QueryCounts> oracle =
+      OracleCounts(*graph, queries, args.oracle_offset);
   if (!oracle.ok()) return Abort("oracle failed", oracle.status());
   const double rss_after_oracle_mb = PeakRssMb();
   CheckWarm(svc, *oracle, &tally);
@@ -345,17 +354,39 @@ int RunEndToEnd(const WorkloadSpec& spec, const Args& args,
   }
   double modeled_sum = 0;
   for (double m : modeled) modeled_sum += m;
+  // The median latency of each query, summed over q0-q8: the typical time
+  // to serve one read of every query in the mix. The 50th percentile of all
+  // reads is not reported: on fit-sf1 it falls near the top of the 6-10 ms
+  // cluster of q0, q2 and q6, just below the gap to q8 at ~20 ms, so it
+  // follows the width of that cluster's tail, not a typical latency, and
+  // spread 21-25% across runs of the same code.
+  std::vector<double> query_p50(by_query.size());
+  double mix_p50 = 0;
+  for (std::size_t q = 0; q < by_query.size(); ++q) {
+    query_p50[q] = Percentile(by_query[q], 0.5);
+    mix_p50 += query_p50[q];
+  }
+
+  // The remaining set-up repeats, after the timed phase, on fresh services
+  // over the same generated graph; their warm reads are checked against the
+  // same oracle.
+  const double rss_timed_mb = PeakRssMb();
+  for (int i = 0; i < kSetupRepeats; ++i) {
+    const fast::Status st = set_up();
+    if (!st.ok()) return Abort("set-up failed", st);
+    CheckWarm(svc, *oracle, &tally);
+  }
 
   const Metrics metrics = {
       {"qps", {spec.churn ? static_cast<double>(latency.size()) / timed_seconds : qps,
                "1/s"}},
-      {"latency_p50_ms", {Percentile(latency, 0.5) * 1e3, "ms"}},
+      {"mix_p50_ms", {mix_p50 * 1e3, "ms"}},
       {"latency_p90_ms", {Percentile(latency, 0.9) * 1e3, "ms"}},
       {"modeled_device_ms",
        {modeled.empty() ? 0.0 : modeled_sum / static_cast<double>(modeled.size()) * 1e3,
         "ms"}},
       {"setup_s", {Percentile(setup_seconds, 0.5), "s"}},
-      {"peak_rss_mb", {PeakRssMb(), "MB"}},
+      {"peak_rss_mb", {rss_timed_mb, "MB"}},
   };
   std::printf("workload %s seed %llu: %zu reads in %.3f s timed, %zu writes\n",
               spec.name.c_str(), static_cast<unsigned long long>(args.seed),
@@ -367,9 +398,10 @@ int RunEndToEnd(const WorkloadSpec& spec, const Args& args,
                   : 0.0,
               static_cast<unsigned long long>(tally.failed),
               static_cast<unsigned long long>(tally.attempted));
-  std::printf("  per-query latency p50 ms:");
+  std::printf("  latency p50 over all reads %.4f ms; per-query p50 ms:",
+              Percentile(latency, 0.5) * 1e3);
   for (std::size_t q = 0; q < by_query.size(); ++q) {
-    std::printf(" q%zu %.2f", q, Percentile(by_query[q], 0.5) * 1e3);
+    std::printf(" q%zu %.2f", q, query_p50[q] * 1e3);
   }
   std::printf("\n");
   std::printf("  peak RSS before / after the first oracle pass: %.2f / %.2f MB\n",
